@@ -63,6 +63,9 @@ def main() -> None:
     world = runner.build()
     tree_before = world.tree
     parents_of_victims = {nid: tree_before.parent_of(nid) for nid in FAILURES}
+    seen = {nid: [] for nid in world.macs}
+    for nid, mac in world.macs.items():
+        mac.crosslayer.subscribe(seen[nid].append)
 
     print(
         f"Running {NUM_EPOCHS} epochs: nodes {FAILURES} die at epoch {FAILURE_EPOCH}, "
@@ -99,16 +102,21 @@ def main() -> None:
     print()
     print("Cross-layer notifications observed by the dead nodes' former parents:")
     for victim, parent in parents_of_victims.items():
-        bus = world.macs[parent].crosslayer
-        lost = [e for e in bus.events_of(NeighborLost) if e.neighbor_id == victim]
+        lost = [
+            e
+            for e in seen[parent]
+            if isinstance(e, NeighborLost) and e.neighbor_id == victim
+        ]
         when = f"t={lost[0].time:.0f}" if lost else "never"
         print(f"  node {parent:2d} lost child {victim:2d}: reported by LMAC at {when}")
 
     found_anywhere = sum(
         1
-        for mac in world.macs.values()
-        for e in mac.crosslayer.events_of(NeighborFound)
-        if e.neighbor_id == ACTIVATION and e.time > ACTIVATION_EPOCH
+        for events in seen.values()
+        for e in events
+        if isinstance(e, NeighborFound)
+        and e.neighbor_id == ACTIVATION
+        and e.time > ACTIVATION_EPOCH
     )
     print(
         f"  node {ACTIVATION} announced itself to {found_anywhere} neighbours after joining"

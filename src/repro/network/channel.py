@@ -239,10 +239,14 @@ class WirelessChannel:
     @property
     def num_links(self) -> int:
         """Links between currently-alive nodes."""
+        # Not graph.edges: its cached view points back at the graph, a cycle.
+        alive = self._alive
         return sum(
             1
-            for a, b in self.graph.edges
-            if self._alive.get(a) and self._alive.get(b)
+            for a, nbrs in self.graph._adj.items()
+            if alive.get(a)
+            for b in nbrs
+            if a <= b and alive.get(b)
         )
 
     # -- transmission -----------------------------------------------------------

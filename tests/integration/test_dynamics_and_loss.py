@@ -72,11 +72,12 @@ class TestCrossLayerNotifications:
         world = runner.build()
         tree_before = world.tree
         parent_of_victim = tree_before.parent_of(9)
+        seen = []
+        world.macs[parent_of_victim].crosslayer.subscribe(seen.append)
         runner.run()
         # The victim's old parent must have received a NeighborLost event
         # from its MAC layer and dropped the child from its range tables.
-        parent_mac = world.macs[parent_of_victim]
-        lost = parent_mac.crosslayer.events_of(NeighborLost)
+        lost = [e for e in seen if isinstance(e, NeighborLost)]
         assert any(e.neighbor_id == 9 for e in lost)
         parent_proto = world.protocols[parent_of_victim]
         for table in parent_proto.tables.tables():

@@ -104,8 +104,10 @@ class TestCrossLayerBus:
 
     def test_history_and_filtering(self):
         bus = CrossLayerBus()
+        seen = []
+        bus.subscribe(seen.append)
         bus.publish(NeighborLost(node_id=0, neighbor_id=1, time=0.0))
         bus.publish(NeighborFound(node_id=0, neighbor_id=2, time=1.0, slot=3))
-        assert len(bus.history) == 2
-        assert len(bus.events_of(NeighborLost)) == 1
-        assert bus.events_of(NeighborFound)[0].neighbor_id == 2
+        assert len(seen) == 2
+        assert len([e for e in seen if isinstance(e, NeighborLost)]) == 1
+        assert [e for e in seen if isinstance(e, NeighborFound)][0].neighbor_id == 2

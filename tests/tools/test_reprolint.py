@@ -112,6 +112,26 @@ class TestDeterminismRules:
         src.rng_exempt = True
         assert determinism_codes(src) == []
 
+    def test_rl105_collector_state_outside_runner(self, tmp_path):
+        src = make_source(
+            tmp_path,
+            """
+            import gc
+            from gc import set_threshold
+
+            def quiet():
+                gc.collect()
+                gc.disable()
+            """,
+        )
+        assert determinism_codes(src) == ["RL105", "RL105"]
+
+    def test_runner_owns_collector_state(self, tmp_path):
+        src = make_source(tmp_path, "import gc\ngc.disable()\ngc.enable()\n")
+        src.rel = "src/repro/experiments/runner.py"
+        assert cli._apply_policy(src).gc_exempt
+        assert determinism_codes(src) == []
+
     def test_rl110_set_iteration_in_critical_code(self, tmp_path):
         src = make_source(
             tmp_path,

@@ -32,6 +32,9 @@ RNG_EXEMPT = {"src/repro/simulation/rng.py"}
 #: Modules exempt from RL102: the one sanctioned wall-clock accessor.
 CLOCK_EXEMPT = {"src/repro/utils/clock.py"}
 
+#: Modules exempt from RL105: the one owner of collector state.
+GC_EXEMPT = {"src/repro/experiments/runner.py"}
+
 #: Where RL110 (unsorted set iteration) applies: event scheduling, tree
 #: construction, scenario models, and the experiment runner's epoch loop.
 DETERMINISM_CRITICAL_PREFIXES = (
@@ -71,6 +74,7 @@ def _iter_python_files(paths: Sequence[Path]) -> List[Path]:
 def _apply_policy(src: SourceFile) -> SourceFile:
     src.rng_exempt = src.rel in RNG_EXEMPT
     src.clock_exempt = src.rel in CLOCK_EXEMPT
+    src.gc_exempt = src.rel in GC_EXEMPT
     src.determinism_critical = src.rel.startswith(
         DETERMINISM_CRITICAL_PREFIXES
     ) or src.rel in DETERMINISM_CRITICAL_FILES

@@ -2,7 +2,7 @@
 
 A :class:`SourceFile` is one parsed python file plus the policy flags the
 CLI derives from its path (whether it is RNG-exempt, wall-clock-exempt,
-or determinism-critical).  Rule modules consume lists of source files and
+collector-exempt, or determinism-critical).  Rule modules consume lists of source files and
 return :class:`Finding` objects; suppression (``# reprolint:
 disable=RLxxx`` pragmas) and ``--select``/``--ignore`` filtering happen
 here so every rule module stays oblivious to presentation concerns.
@@ -40,6 +40,12 @@ RULES: Dict[str, Tuple[str, str]] = {
         "direct numpy RNG outside simulation/rng.py",
         "generators must come from named RandomStreams streams so adding "
         "a consumer never perturbs existing draws",
+    ),
+    "RL105": (
+        "collector state changed (gc.disable/enable/freeze/set_threshold) "
+        "outside experiments/runner.py",
+        "the runner pauses the collector per trial with a shared depth "
+        "count; a second owner of collector state breaks that count",
     ),
     "RL110": (
         "iteration over a set without sorted() in determinism-critical code",
@@ -172,6 +178,8 @@ class SourceFile:
     rng_exempt: bool = False
     #: skip RL102 (the sanctioned wall-clock module)
     clock_exempt: bool = False
+    #: skip RL105 (the one owner of collector state)
+    gc_exempt: bool = False
     #: apply RL110 (simulation/, network/, scenarios/models.py)
     determinism_critical: bool = False
     #: per-line pragma patterns: line -> {"RL104", ...}

@@ -3,7 +3,8 @@
 RL101/RL103 forbid ambient entropy (stdlib ``random``, ``uuid``,
 ``secrets``, ``os.urandom``); RL102 forbids wall-clock reads outside the
 sanctioned clock module; RL104 forbids constructing or using numpy RNGs
-outside ``repro.simulation.rng``; RL110 flags iteration over sets without
+outside ``repro.simulation.rng``; RL105 keeps changes to the cyclic
+collector's state in ``repro.experiments.runner``; RL110 flags iteration over sets without
 a ``sorted(...)`` wrapper in determinism-critical modules (event
 scheduling and tree construction must not depend on hash order).
 
@@ -38,6 +39,9 @@ WALL_CLOCK_SUFFIXES = {
     "datetime.today",
     "date.today",
 }
+
+#: ``gc`` functions that change collector state (RL105).
+COLLECTOR_STATE_FUNCS = {"disable", "enable", "freeze", "set_threshold"}
 
 #: Names that build or transform sets when called as methods.
 _SET_METHODS = {
@@ -489,6 +493,19 @@ def check(files: List[SourceFile]) -> List[Finding]:
                             "named RandomStreams stream",
                         )
                     )
+                elif module == "gc" and not src.gc_exempt:
+                    for alias in node.names:
+                        if alias.name in COLLECTOR_STATE_FUNCS:
+                            findings.append(
+                                Finding(
+                                    "RL105",
+                                    src.rel,
+                                    node.lineno,
+                                    f"`gc.{alias.name}` imported; collector "
+                                    "state belongs to "
+                                    "repro.experiments.runner",
+                                )
+                            )
                 elif module == "time" and not src.clock_exempt:
                     for alias in node.names:
                         if alias.name in ("time", "time_ns"):
@@ -514,6 +531,21 @@ def check(files: List[SourceFile]) -> List[Finding]:
                             f"wall-clock read `{name}()`; accept an "
                             "injectable `now`/clock parameter instead "
                             "(repro.utils.clock)",
+                        )
+                    )
+                elif (
+                    leaf2.startswith("gc.")
+                    and leaf2[3:] in COLLECTOR_STATE_FUNCS
+                    and not src.gc_exempt
+                ):
+                    findings.append(
+                        Finding(
+                            "RL105",
+                            src.rel,
+                            node.lineno,
+                            f"`{name}()` changes collector state; only "
+                            "repro.experiments.runner may (it pauses the "
+                            "collector per trial)",
                         )
                     )
                 elif leaf2 == "os.urandom" and not src.rng_exempt:
