@@ -25,11 +25,11 @@ workload                                       pre-PR2      PR2
 The 3.1x wall-clock improvement comes with bit-identical result
 fingerprints (see tests/experiments/test_fastpath_determinism.py).
 
-PR 10 adds a *columnar* arm: paired back-to-back brute/columnar runs of
-the same paper-network config in one process (``columnar_pairs``),
-asserting the arms' cost breakdowns and ledgers are identical before any
-timing is reported.  Pairing matters on the single-vCPU reference
-container — only same-pair ratios are comparable under host steal; see
+``columnar_pairs`` times DirQ's columnar epoch tick against the per-node
+test oracle (``tests/differential/oracle.py``): paired back-to-back runs
+of the same paper-network config in one process, asserting the arms'
+cost breakdowns and ledgers are identical before any timing is reported.
+Only same-pair ratios are comparable under host steal; see
 docs/vectorisation.md for the methodology and the recorded numbers.
 """
 
@@ -51,10 +51,11 @@ BASELINE_HEADLINE_20K_SECONDS = 30.8
 #: Post-PR2 wall-clock seconds of the same trial on the same container.
 FAST_HEADLINE_20K_SECONDS = 9.8
 
-#: Median per-pair brute/columnar CPU-time ratio of the 20 000-epoch
-#: headline trial on the reference container (PR 10; paired measurement,
-#: see docs/vectorisation.md — individual pairs ranged 1.4–2.1).
-COLUMNAR_HEADLINE_20K_RATIO = 1.8
+#: Median per-pair per-node/columnar CPU-time ratio of the 20 000-epoch
+#: headline trial (``columnar_pairs(num_epochs=20_000, pairs=5)``; 5
+#: pairs on a 2-vCPU x86-64 container, Python 3.11, individual pairs
+#: 1.67–2.20, see docs/vectorisation.md).
+COLUMNAR_HEADLINE_20K_RATIO = 1.72
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +107,7 @@ def epoch_drain(num_epochs: int = 20_000) -> Simulator:
 
 
 def columnar_pairs(num_epochs: int = 2_000, pairs: int = 1) -> dict:
-    """Paired brute/columnar timing of the headline-style trial.
+    """Paired per-node/columnar timing of the headline-style trial.
 
     Each pair runs both arms back to back in this process and times them
     with ``time.process_time`` (CPU seconds), so host steal hits both arms
@@ -115,6 +116,7 @@ def columnar_pairs(num_epochs: int = 2_000, pairs: int = 1) -> dict:
     (fingerprint, cost breakdown, per-kind ledger) before any number is
     reported.
     """
+    import contextlib
     import copy
     import statistics
 
@@ -122,19 +124,19 @@ def columnar_pairs(num_epochs: int = 2_000, pairs: int = 1) -> dict:
     from repro.experiments.runner import run_experiment
     from repro.experiments.scenarios import paper_network
 
-    base = paper_network(num_epochs=num_epochs, seed=1).with_atc()
-    arms = {
-        "brute": base.replace(tick_method="periodic"),
-        "columnar": base.replace(tick_method="columnar"),
-    }
-    timings = {"brute": [], "columnar": []}
+    from tests.differential.oracle import per_node_oracle
+
+    cfg = paper_network(num_epochs=num_epochs, seed=1).with_atc()
+    arms = {"per_node": per_node_oracle, "columnar": contextlib.nullcontext}
+    timings = {"per_node": [], "columnar": []}
     prints = {}
     for _ in range(pairs):
-        for label, cfg in arms.items():
+        for label, seam in arms.items():
             spec = TrialSpec(label=f"bench[{label}]", config=cfg)
-            start = time.process_time()
-            raw = run_experiment(copy.deepcopy(spec.config))
-            timings[label].append(time.process_time() - start)
+            with seam():
+                start = time.process_time()
+                raw = run_experiment(copy.deepcopy(spec.config))
+                timings[label].append(time.process_time() - start)
             result = TrialResult.from_experiment(spec, raw)
             obs = (
                 result.fingerprint(include_key=False),
@@ -144,17 +146,17 @@ def columnar_pairs(num_epochs: int = 2_000, pairs: int = 1) -> dict:
             if label in prints and prints[label] != obs:
                 raise AssertionError(f"{label} arm is not reproducible")
             prints[label] = obs
-    if prints["brute"] != prints["columnar"]:
+    if prints["per_node"] != prints["columnar"]:
         raise AssertionError(
-            "brute and columnar arms diverged: "
-            f"{prints['brute'][0]} vs {prints['columnar'][0]}"
+            "per-node and columnar arms diverged: "
+            f"{prints['per_node'][0]} vs {prints['columnar'][0]}"
         )
-    ratios = [b / c for b, c in zip(timings["brute"], timings["columnar"])]
+    ratios = [b / c for b, c in zip(timings["per_node"], timings["columnar"])]
     return {
         "num_epochs": num_epochs,
         "pairs": pairs,
         "identical": True,
-        "brute_cpu_s": [round(t, 3) for t in timings["brute"]],
+        "per_node_cpu_s": [round(t, 3) for t in timings["per_node"]],
         "columnar_cpu_s": [round(t, 3) for t in timings["columnar"]],
         "median_pair_ratio": round(statistics.median(ratios), 3),
     }
@@ -298,7 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "columnar A/B: arms bit-identical at "
             f"{columnar['num_epochs']} epochs, pair ratio "
             f"{columnar['median_pair_ratio']}x "
-            f"(brute {columnar['brute_cpu_s'][0]}s CPU, "
+            f"(per-node {columnar['per_node_cpu_s'][0]}s CPU, "
             f"columnar {columnar['columnar_cpu_s'][0]}s CPU)"
         )
         report["columnar"] = columnar

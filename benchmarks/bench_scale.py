@@ -16,9 +16,9 @@ Tracks three things across revisions:
   acceptance number for the scaling work.
 * **A/B bit-identity** -- the fast path must be an implementation detail:
   a mobile 500-node trial run with ``neighbor_method="brute"`` +
-  ``tree_repair="full"`` and with the defaults must produce identical
-  measurement fingerprints (config hash excluded via
-  ``fingerprint(include_key=False)``).
+  ``tree_repair="full"`` and the per-node tick oracle, and with the
+  defaults, must produce identical measurement fingerprints (config hash
+  excluded via ``fingerprint(include_key=False)``).
 
 Runs as pytest-benchmark timings::
 
@@ -288,28 +288,31 @@ def ab_fingerprints(
 ) -> Dict[str, object]:
     """Fingerprints of the same trial under every strategy axis.
 
-    Three arms: the fast defaults, the brute neighbour/tree reference,
-    and the columnar epoch tick on top of the fast defaults (the PR-10
-    axis, multiplicative with the scale path).  The config hashes
-    legitimately differ (the strategy flags are part of the config), so
-    the comparison uses ``fingerprint(include_key=False)`` --
-    measurements only.
+    Three arms: the fast defaults (spatial hash, incremental repair,
+    columnar tick), the full reference (brute neighbour/tree strategies
+    and the per-node tick oracle from ``tests/differential/oracle.py``),
+    and the fast defaults with only the tick swapped for the oracle.  The
+    config hashes legitimately differ (the neighbour/tree strategy flags
+    are part of the config), so the comparison uses
+    ``fingerprint(include_key=False)`` -- measurements only.
     """
+    from tests.differential.oracle import per_node_oracle
+
     fast_cfg = build_config(scenario, num_epochs=num_epochs, seed=seed)
     brute_cfg = fast_cfg.replace(neighbor_method="brute", tree_repair="full")
-    columnar_cfg = fast_cfg.replace(tick_method="columnar")
     runner = BatchRunner(max_workers=1, executor="serial", cache_dir="")
-    fast, brute, columnar = runner.run(
-        [
-            TrialSpec(label="ab fast", config=fast_cfg),
-            TrialSpec(label="ab brute", config=brute_cfg),
-            TrialSpec(label="ab columnar", config=columnar_cfg),
-        ]
-    )
+    (fast,) = runner.run([TrialSpec(label="ab fast", config=fast_cfg)])
+    with per_node_oracle():
+        brute, per_node = runner.run(
+            [
+                TrialSpec(label="ab brute", config=brute_cfg),
+                TrialSpec(label="ab per-node", config=fast_cfg),
+            ]
+        )
     prints = {
         "fast": fast.fingerprint(include_key=False),
         "brute": brute.fingerprint(include_key=False),
-        "columnar": columnar.fingerprint(include_key=False),
+        "per_node": per_node.fingerprint(include_key=False),
     }
     return {
         "scenario": scenario,
@@ -373,13 +376,13 @@ def test_maintenance_path_speedup(benchmark):
 
 
 def test_scale_ab_bit_identity(benchmark):
-    """Brute, fast, and columnar paths agree bit-for-bit on a mobile 500-node trial."""
+    """Brute, fast, and per-node-tick arms agree bit-for-bit (mobile, 500 nodes)."""
     report = benchmark.pedantic(
         lambda: ab_fingerprints(), rounds=1, iterations=1
     )
     assert report["identical"], (
-        f"fast/brute/columnar fingerprints diverged on {report['scenario']}: "
-        f"{report['fast']} vs {report['brute']} vs {report['columnar']}"
+        f"fast/brute/per-node fingerprints diverged on {report['scenario']}: "
+        f"{report['fast']} vs {report['brute']} vs {report['per_node']}"
     )
     emit(
         "fast-vs-brute bit identity",
@@ -493,12 +496,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ab = ab_fingerprints(num_epochs=ab_epochs, seed=args.seed)
     print(
         f"A/B {ab['scenario']} ({ab_epochs} epochs): "
-        f"fast {ab['fast']} brute {ab['brute']} columnar {ab['columnar']}"
+        f"fast {ab['fast']} brute {ab['brute']} per-node {ab['per_node']}"
     )
     if not ab["identical"]:
-        print("FAIL: fast/brute/columnar fingerprints differ", file=sys.stderr)
+        print("FAIL: fast/brute/per-node fingerprints differ", file=sys.stderr)
         return 1
-    print("A/B: fast, brute, and columnar paths are bit-identical")
+    print("A/B: fast, brute, and per-node-tick paths are bit-identical")
 
     report = {
         "epochs_per_point": num_epochs,

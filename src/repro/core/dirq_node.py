@@ -137,11 +137,14 @@ class DirQNode(DisseminationProtocol):
     def on_epoch(self, epoch: int) -> None:
         """Sample all local sensors and run the update trigger (Fig. 1-3).
 
-        This is the simulation's innermost loop (nodes x sensor types x
-        epochs), so the Fig. 1 containment test and the Fig. 3 "no update
-        due" memo are checked inline before falling back to the full
-        :meth:`RangeTable.observe_reading` / :meth:`_maybe_send_update`
-        machinery; the fast path is bit-identical to the slow one.
+        This is the per-node reference form of DirQ's epoch tick.  Trials
+        run :class:`repro.experiments.columnar.ColumnarTick`, which is
+        bit-identical to calling this on every alive node in id order;
+        unit tests and the per-node oracle in ``tests/differential/``
+        call it directly.  The Fig. 1 containment test and the Fig. 3
+        "no update due" memo are checked inline before falling back to the
+        full :meth:`RangeTable.observe_reading` / :meth:`_maybe_send_update`
+        machinery; the inline checks are bit-identical to the slow path.
         """
         if not self.alive:
             return

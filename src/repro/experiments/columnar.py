@@ -1,14 +1,14 @@
 """Columnar epoch tick: vectorised sensing with bit-identical semantics.
 
-``tick_method="columnar"`` replaces the per-node Python sampling loop
-(:meth:`repro.core.dirq_node.DirQNode.on_epoch`) with one fused numpy pass
-over every ``(node, sensor_type)`` row of the alive set, fanning Python-
-level work out only for the rows whose reading escaped the own range or
-whose "no update due" memo is stale.  The fast path must be
-*bit-identical* to the brute loop -- the differential harness in
-``tests/differential/`` pins fingerprints, energy ledgers, update series,
-and scenario events against each other -- so the restructuring leans on
-three invariants:
+DirQ's epoch tick.  Instead of calling
+:meth:`repro.core.dirq_node.DirQNode.on_epoch` on every alive node, it
+runs one fused numpy pass over every ``(node, sensor_type)`` row of the
+alive set, fanning Python-level work out only for the rows whose reading
+escaped the own range or whose "no update due" memo is stale.  It must be
+*bit-identical* to that per-node loop, which lives on as the test oracle
+in ``tests/differential/`` (the harness pins fingerprints, energy
+ledgers, update series, and scenario events against each other), so the
+restructuring leans on three invariants:
 
 1. **Commutativity of the read pass.**  Sampling and ATC rate-of-change
    tracking touch only per-``(node, sensor_type)`` private state (the
@@ -17,27 +17,27 @@ three invariants:
    its own sensor type).  Hoisting all reads of an epoch in front of all
    table/update work therefore cannot change any observable.
 
-2. **Node-major fan-out order.**  The brute loop visits ``(node, type)``
+2. **Node-major fan-out order.**  The per-node loop visits ``(node, type)``
    pairs sorted by node id (the runner's alive list) and sensor type
    (:meth:`SensorNode.sensors_sorted`).  The fan-out walks a permutation
    precomputed in exactly that order, so table mutations, update
-   transmissions, and every MAC send they trigger happen in the brute
-   order.
+   transmissions, and every MAC send they trigger happen in the
+   per-node order.
 
 3. **Conservative suppression.**  A row is skipped only when the reading
    lies inside the own range *and* the table's negative-result memo is
-   provably valid -- the same two checks the brute loop's inline fast path
-   performs, evaluated against cached copies of ``own_entry`` and the
+   provably valid -- the same two checks the per-node loop's inline fast
+   path performs, evaluated against cached copies of ``own_entry`` and the
    memo that are invalidated through :attr:`RangeTable.observer` whenever
    *anything* (message handlers, tree repair, the fan-out itself) mutates
-   the table.  When in doubt a row falls through to the brute machinery,
+   the table.  When in doubt a row falls through to the full machinery,
    which recomputes the truth and re-arms the memo.
 
 Sensors that are not plain dataset-backed :class:`~repro.sensors.sensor.
 Sensor` instances (or ATC controllers with a non-standard smoothing
-factor) are handled as *fallback rows*: they run the verbatim brute body
-at their node-major position every epoch, so exotic test fixtures degrade
-to the reference semantics instead of breaking them.
+factor) are handled as *fallback rows*: they run the verbatim per-node
+body at their node-major position every epoch, so exotic test fixtures
+degrade to the reference semantics instead of breaking them.
 
 Deferred state: per-row suppression tallies, sampling-counter increments,
 and the ATC rate-of-change/last-reading dictionaries are maintained in
@@ -72,7 +72,7 @@ class _TypeSegment:
 
 
 class ColumnarTick:
-    """Drop-in replacement for the runner's per-node ``on_epoch`` loop.
+    """Columnar equivalent of the per-node ``DirQNode.on_epoch`` loop.
 
     Parameters
     ----------
@@ -114,7 +114,7 @@ class ColumnarTick:
         self._inside = None
         self._suppress = None
         # Row indices (vec rows then fallback sentinels) pre-sorted into the
-        # brute fan-out order (alive-list position, sensor type); per epoch
+        # per-node fan-out order (alive-list position, sensor type); per epoch
         # the fired subset is selected by permuting the not-suppressed mask.
         self._order = None
         self._notsup_ext = None  # size n + len(fallback); tail always True
@@ -132,7 +132,15 @@ class ColumnarTick:
     # -- lifecycle ---------------------------------------------------------------
 
     def set_protocols(self, protocols: List) -> None:
-        """Install the (sorted, alive) protocol list; flushes and rebuilds."""
+        """Install the (sorted, alive) protocol list; flushes and rebuilds.
+
+        An unchanged list (a mobility re-link moves links, not nodes) is a
+        no-op: table mutations reach the rows through the observer dirty
+        set, and new sensors or tables through the version scan in
+        :meth:`tick`.
+        """
+        if protocols == self._protos:
+            return
         self._flush()
         self._protos = list(protocols)
         self._needs_rebuild = True
@@ -359,11 +367,11 @@ class ColumnarTick:
             atc = self._row_atcs[i]
             rv = roc[i]
             # rv is NaN until the row has seen two readings -- exactly when
-            # the brute on_reading body reaches its seeding check.
+            # the per-node on_reading body reaches its seeding check.
             if rv == rv and atc._hour_budget:
                 # The controller's dicts lag the columnar arrays between
                 # flushes; _seed_delta reads the rate of change, so sync
-                # this row's state before delegating to the brute seeding.
+                # this row's state before delegating to the per-node seeding.
                 stype = stypes[i]
                 atc._rate_of_change[stype] = float(rv)
                 atc._last_reading[stype] = float(last[i])
@@ -417,7 +425,7 @@ class ColumnarTick:
                     seg.matrix[epoch], seg.cols, out=cur[seg.start : seg.end]
                 )
             # Bit-identical to Sensor.sample: column value + calibration
-            # offset (always added, so signed zeros match the brute path).
+            # offset (always added, so signed zeros match the per-node path).
             cur += self._offsets
             if self._adaptive:
                 prev = self._last
@@ -425,7 +433,7 @@ class ColumnarTick:
                 s = self._smoothing
                 if self._nan_free:
                     # Steady state: every row has >= 2 readings, so the
-                    # brute recurrence applies unconditionally.
+                    # per-node recurrence applies unconditionally.
                     np.subtract(cur, prev, out=tmp)
                     np.abs(tmp, out=tmp)
                     roc = self._roc
@@ -458,7 +466,7 @@ class ColumnarTick:
             self._pending_suppressed += suppress
             self._pending_epochs += 1
             np.logical_not(suppress, out=self._notsup)
-            # Select the fired rows already permuted into brute order
+            # Select the fired rows already permuted into per-node order
             # (fallback sentinel entries at the tail are always True).
             fired = fired[self._notsup_ext[fired]]
 
@@ -480,7 +488,7 @@ class ColumnarTick:
                 # Hot path: one vectorised gather turns the fired rows'
                 # readings and inside flags into builtin floats/bools
                 # (ndarray.tolist round-trips float64 exactly, matching
-                # what Sensor.sample hands the brute loop), so the Python
+                # what Sensor.sample hands the per-node loop), so the Python
                 # loop below touches no numpy scalars.
                 rvals = vals[fired].tolist()
                 rins = self._inside[fired].tolist()
@@ -508,7 +516,7 @@ class ColumnarTick:
                     proto = row_protos[i]
                     table = row_tables[i]
                     # ndarray.item returns a builtin float, exactly what
-                    # Sensor.sample hands the brute loop.
+                    # Sensor.sample hands the per-node loop.
                     reading = vals.item(i)
                     d = delta[i]
                     if not inside[i]:
@@ -529,7 +537,7 @@ class ColumnarTick:
 
     @staticmethod
     def _run_fallback(row: Tuple, epoch: int) -> None:
-        """Verbatim brute body for one (node, sensor type) pair."""
+        """Verbatim per-node body for one (node, sensor type) pair."""
         _k, stype, proto, sensor, table = row
         reading = sensor.sample(epoch)
         if type(reading) is not float:

@@ -129,7 +129,6 @@ class ExperimentConfig:
         "neighbor_method",
         "tree_repair",
         "phenomena_method",
-        "tick_method",
     )
 
     #: Fields *always* excluded from the canonical hash payload, whatever
@@ -181,13 +180,6 @@ class ExperimentConfig:
     #: flags, "lowrank" draws a *different* (approximate) field, so it is
     #: never a silent default.
     phenomena_method: Optional[str] = None
-    #: Epoch-tick strategy: ``None`` (= "periodic", the per-node Python
-    #: loop) or "columnar" (one numpy pass per sensor type over the alive
-    #: set, fanning out Python-level work only for threshold crossings).
-    #: Bit-identical results either way -- the differential harness in
-    #: ``tests/differential/`` pins the two paths against each other by
-    #: trial fingerprint, energy ledger, and scenario events.
-    tick_method: Optional[str] = None
     #: Observability level: ``None`` (off), "metrics", or "full".  Listed
     #: in HASH_EXCLUDE above -- never part of hashes or fingerprints.
     instrument: Optional[str] = None
@@ -225,11 +217,6 @@ class ExperimentConfig:
             raise ValueError(
                 "phenomena_method must be None, 'exact', or 'lowrank', "
                 f"got {self.phenomena_method!r}"
-            )
-        if self.tick_method not in (None, "periodic", "columnar"):
-            raise ValueError(
-                "tick_method must be None, 'periodic', or 'columnar', "
-                f"got {self.tick_method!r}"
             )
         if self.instrument not in (None, "metrics", "full"):
             raise ValueError(

@@ -514,6 +514,19 @@ class ExperimentRunner:
     # The epoch loop
     # ------------------------------------------------------------------
 
+    def _dirq_epoch_tick(self, world: SimulationWorld) -> ColumnarTick:
+        """Build DirQ's epoch tick and turn on LMAC beacon batching.
+
+        The columnar tick is bit-identical to calling
+        :meth:`DirQNode.on_epoch` on every alive node in id order (see
+        :mod:`repro.experiments.columnar`); steady-state beacon batching
+        skips frame and delivery-event construction for provably
+        identical beacon ticks (see ``LMACProtocol._try_fast_beacon``).
+        """
+        for mac in world.macs.values():
+            mac.fast_beacons = True
+        return ColumnarTick(world.dataset, self.config.dirq)
+
     def run(self) -> ExperimentResult:
         """Run the configured experiment and return its measurements."""
         with _collector_paused():
@@ -634,19 +647,13 @@ class ExperimentRunner:
         epochs_per_hour = cfg.dirq.epochs_per_hour
         window_epochs = cfg.window_epochs
 
-        # Columnar epoch tick (tick_method="columnar"): one numpy pass per
-        # sensor type instead of the per-node on_epoch loop, bit-identical
-        # by construction (see repro.experiments.columnar).  Flooding has
-        # no sampling loop to vectorise, so the flag only affects DirQ.
-        columnar: Optional[ColumnarTick] = None
-        if is_dirq and cfg.tick_method == "columnar":
-            columnar = ColumnarTick(world.dataset, cfg.dirq)
-            columnar.set_protocols(alive_protocols)
-            # Columnar mode also opts the MAC layer into steady-state beacon
-            # batching: provably-identical beacon ticks skip frame and
-            # delivery-event construction (see LMACProtocol._try_fast_beacon).
-            for mac in world.macs.values():
-                mac.fast_beacons = True
+        # DirQ's epoch tick is columnar (one numpy pass per sensor type).
+        # Flooding keeps no per-epoch state, so it keeps the plain
+        # on_epoch loop below.
+        dirq_tick: Optional[ColumnarTick] = None
+        if is_dirq:
+            dirq_tick = self._dirq_epoch_tick(world)
+            dirq_tick.set_protocols(alive_protocols)
 
         # Phase profiling ("full" instrumentation only).  ``begin`` both
         # opens a phase and closes the previous one, so the loop below
@@ -745,8 +752,8 @@ class ExperimentRunner:
                 alive_protocols = [
                     world.protocols[nid] for nid in sorted(world.alive)
                 ]
-                if columnar is not None:
-                    columnar.set_protocols(alive_protocols)
+                if dirq_tick is not None:
+                    dirq_tick.set_protocols(alive_protocols)
 
             # Hourly EHr estimate (DirQ only).
             if is_dirq and epoch % epochs_per_hour == 0:
@@ -757,8 +764,8 @@ class ExperimentRunner:
             # Per-epoch sensing and range maintenance.
             if profiling:
                 begin_phase("sample")
-            if columnar is not None:
-                columnar.tick(epoch)
+            if dirq_tick is not None:
+                dirq_tick.tick(epoch)
             else:
                 for proto in alive_protocols:
                     proto.on_epoch(epoch)
@@ -827,10 +834,10 @@ class ExperimentRunner:
         if profiling:
             begin_phase("channel")
         sim.run_until(float(cfg.num_epochs))
-        if columnar is not None:
+        if dirq_tick is not None:
             # Fold deferred suppression / sampling counters back into the
             # protocol objects before anything reads them.
-            columnar.finalize()
+            dirq_tick.finalize()
         if profiling:
             phases.end()
 

@@ -166,7 +166,7 @@ class LMACProtocol(SimProcess):
         self._last_sequence_seen: dict[NodeId, int] = {}
         self._beacons_since_heard: dict[NodeId, int] = {}
         self._ctrl_cache: Optional[ControlSection] = None
-        #: Opt-in steady-state beacon batching (columnar tick mode).  When
+        #: Opt-in steady-state beacon batching (on for every DirQ trial).  When
         #: enabled, a beacon tick whose every observable effect is provably
         #: the steady-state bookkeeping applies those effects directly --
         #: no frame object, no delivery event, no per-receiver dispatch.

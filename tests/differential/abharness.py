@@ -1,45 +1,53 @@
-"""Columnar-vs-brute A/B harness (PR 10).
+"""Columnar-vs-per-node A/B harness.
 
-``tick_method="columnar"`` is a pure implementation strategy: every
+DirQ's columnar epoch tick is a pure implementation strategy: every
 observable of a trial -- the cost breakdown, the per-window update series,
 the query audit, the energy ledger down to per-(kind, direction) entries,
 ATC's δ history, scenario telemetry -- must be *bit-identical* to the
-brute per-node loop.  This module is the single definition of "identical":
-it runs both arms of a configuration and either returns the list of
-observables that disagree (empty = equivalent) or asserts equivalence
-with a per-observable diff.
+per-node ``on_epoch`` loop, which lives on as the test oracle in
+:mod:`tests.differential.oracle`.  This module is the single definition
+of "identical": it runs both arms of a configuration and either returns
+the list of observables that disagree (empty = equivalent) or asserts
+equivalence with a per-observable diff.
 
 The catch-all instrument is :meth:`TrialResult.fingerprint` with
-``include_key=False`` (the two arms hash differently by design -- the
-flag enters the cache key when set -- but must measure identically), the
-same digest the batch cache and the campaign store use for bit-identity
-guarantees.  The granular comparisons exist so a regression fails on the
-*first* observable that diverges, with both values printed, instead of on
-an opaque digest.
+``include_key=False``, the same digest the batch cache and the campaign
+store use for bit-identity guarantees.  The granular comparisons exist so
+a regression fails on the *first* observable that diverges, with both
+values printed, instead of on an opaque digest.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.experiments.batch import TrialResult, TrialSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 
+from tests.differential.oracle import per_node_oracle
 
-def run_arm(config: ExperimentConfig, tick_method: Optional[str]) -> TrialResult:
+#: The two arms: the per-node oracle (the reference) and the columnar tick
+#: every trial runs.
+PER_NODE = "per-node"
+COLUMNAR = "columnar"
+
+
+def run_arm(config: ExperimentConfig, arm: str) -> TrialResult:
     """Run one arm of the A/B pair and distil it into a `TrialResult`.
 
     Mirrors the batch worker entry point: the spec snapshots the config,
     and the runner gets a private deep copy so mutations during the build
     (``dirq.full_scale`` filled from the dataset) never leak between arms.
     """
-    spec = TrialSpec(
-        label=f"ab[{tick_method or 'brute'}]",
-        config=config.replace(tick_method=tick_method),
-    )
-    result = run_experiment(copy.deepcopy(spec.config))
+    if arm not in (PER_NODE, COLUMNAR):
+        raise ValueError(f"unknown arm {arm!r}")
+    spec = TrialSpec(label=f"ab[{arm}]", config=config)
+    seam = per_node_oracle() if arm == PER_NODE else contextlib.nullcontext()
+    with seam:
+        result = run_experiment(copy.deepcopy(spec.config))
     return TrialResult.from_experiment(spec, result)
 
 
@@ -80,24 +88,24 @@ def mismatched_observables(
     config: ExperimentConfig,
 ) -> Tuple[List[str], TrialResult, TrialResult]:
     """Run both arms; return the names of observables that differ."""
-    brute = run_arm(config, None)
-    columnar = run_arm(config, "columnar")
+    per_node = run_arm(config, PER_NODE)
+    columnar = run_arm(config, COLUMNAR)
     bad = [
         name
         for name, extract in OBSERVABLES
-        if extract(brute) != extract(columnar)
+        if extract(per_node) != extract(columnar)
     ]
-    if brute.fingerprint(include_key=False) != columnar.fingerprint(
+    if per_node.fingerprint(include_key=False) != columnar.fingerprint(
         include_key=False
     ):
         bad.append("fingerprint")
-    return bad, brute, columnar
+    return bad, per_node, columnar
 
 
 def assert_bit_identical(config: ExperimentConfig, context: str = "") -> None:
-    """Assert columnar == brute on every observable, diffing the first."""
+    """Assert columnar == per-node on every observable, diffing the first."""
     prefix = f"{context}: " if context else ""
-    bad, brute, columnar = mismatched_observables(config)
+    bad, per_node, columnar = mismatched_observables(config)
     if not bad:
         return
     name = bad[0]
@@ -105,11 +113,11 @@ def assert_bit_identical(config: ExperimentConfig, context: str = "") -> None:
     detail = ""
     if extract is not None:
         detail = (
-            f"\n  brute:    {extract(brute)!r}"
+            f"\n  per-node: {extract(per_node)!r}"
             f"\n  columnar: {extract(columnar)!r}"
         )
     raise AssertionError(
-        f"{prefix}columnar tick diverged from the brute loop on "
+        f"{prefix}columnar tick diverged from the per-node oracle on "
         f"{bad} (config={describe(config)}){detail}"
     )
 

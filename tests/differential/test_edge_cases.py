@@ -16,7 +16,12 @@ from repro.scenarios.spec import ChurnConfig, ScenarioConfig
 from repro.scenarios.static import small_network
 from repro.sensors.types import HUMIDITY, LIGHT, TEMPERATURE
 
-from tests.differential.abharness import assert_bit_identical, run_arm
+from tests.differential.abharness import (
+    COLUMNAR,
+    PER_NODE,
+    assert_bit_identical,
+    run_arm,
+)
 
 
 class TestDeadAndRevivingNodes:
@@ -76,16 +81,17 @@ class TestMinimalNetworks:
         assert_bit_identical(cfg, context="n=2")
 
     def test_single_node_network_rejected_in_both_arms(self):
-        """n=1 is a config error, not a columnar special case."""
-        for method in (None, "columnar"):
+        """n=1 is a config error, not a columnar special case: it is
+        refused before either tick is built."""
+        for arm in (PER_NODE, COLUMNAR):
             with pytest.raises(ValueError, match="num_nodes"):
-                ExperimentConfig(num_nodes=1, tick_method=method)
+                run_arm(ExperimentConfig(num_nodes=1), arm)
 
 
 class TestPhenomenaField:
     def test_lowrank_field_bit_identical_under_columnar(self):
         """The lowrank synthesis draws a different dataset than exact --
-        the columnar gather must be bit-identical to brute *within* each
+        the columnar gather must be bit-identical to the oracle *within* each
         synthesis method."""
         cfg = small_network(num_nodes=16, num_epochs=200).replace(
             phenomena_method="lowrank"
@@ -103,13 +109,13 @@ class TestPhenomenaField:
         synthesis methods must not silently alias (if they did, the
         lowrank A/B above would not be testing a distinct code path)."""
         exact = run_arm(
-            small_network(num_nodes=16, num_epochs=200), "columnar"
+            small_network(num_nodes=16, num_epochs=200), COLUMNAR
         )
         lowrank = run_arm(
             small_network(num_nodes=16, num_epochs=200).replace(
                 phenomena_method="lowrank"
             ),
-            "columnar",
+            COLUMNAR,
         )
         assert exact.fingerprint(include_key=False) != lowrank.fingerprint(
             include_key=False

@@ -1,13 +1,11 @@
-"""Cache-identity pins for ``tick_method``.
+"""Cache-identity pins for the removed ``tick_method`` field.
 
-The flag follows the HASH_OMIT_WHEN_UNSET convention: while ``None`` it
-is absent from the canonical hash payload (every pre-existing cache key,
-golden hash, and fingerprint survives its introduction); once pinned to
-a strategy it enters the payload, so the brute and columnar arms of an
-A/B sweep can never alias in the result cache.  These pins, plus the
-reprolint corpus entry ``bad_rl202_strategy_flag_default.py`` and the
-repo-wide RL210 dynamic hash-coverage check, are what keep the field
-from silently entering (or silently leaving) ``_canonical``.
+DirQ's epoch tick is columnar for every trial; the per-node loop it must
+equal is a test oracle, not a config switch.  So the field is gone: it
+never enters the canonical hash payload, every golden hash keeps its
+pinned value, and a config or campaign that still names it fails loudly
+instead of hashing to a new key.  ``CACHE_VERSION`` is unchanged because
+results are unchanged.
 """
 
 from __future__ import annotations
@@ -15,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.batch import TrialSpec, _canonical, config_hash
+from repro.experiments.campaign import CampaignSpec
 from repro.experiments.config import ExperimentConfig
 from repro.scenarios import static
 from repro.scenarios.static import small_network
@@ -27,8 +26,9 @@ GOLDEN_SMALL_KEY = "523dd1a10f7090c16772"
 
 
 class TestTickMethodHashContract:
-    def test_flag_is_registered_omit_when_unset(self):
-        assert "tick_method" in ExperimentConfig.HASH_OMIT_WHEN_UNSET
+    def test_field_not_in_hash_omit_list(self):
+        assert "tick_method" not in ExperimentConfig.HASH_OMIT_WHEN_UNSET
+        assert "tick_method" not in ExperimentConfig.__dataclass_fields__
 
     def test_unset_flag_preserves_golden_hashes(self):
         assert config_hash(ExperimentConfig()) == GOLDEN_DEFAULT_HASH
@@ -42,33 +42,17 @@ class TestTickMethodHashContract:
         payload = _canonical(ExperimentConfig())
         assert "tick_method" not in payload
 
-    def test_pinned_flag_enters_canonical_payload(self):
-        for method in ("periodic", "columnar"):
-            payload = _canonical(ExperimentConfig(tick_method=method))
-            assert payload["tick_method"] == method
-
-    def test_each_strategy_hashes_distinctly(self):
-        hashes = {
-            method: config_hash(ExperimentConfig(tick_method=method))
-            for method in (None, "periodic", "columnar")
-        }
-        assert hashes[None] == GOLDEN_DEFAULT_HASH
-        assert len(set(hashes.values())) == 3
-
     def test_invalid_strategy_rejected(self):
-        with pytest.raises(ValueError, match="tick_method"):
-            ExperimentConfig(tick_method="vectorised")
+        for method in ("periodic", "columnar", "vectorised", None):
+            with pytest.raises(TypeError, match="tick_method"):
+                ExperimentConfig(tick_method=method)
 
 
-def test_periodic_is_an_explicit_brute_pin():
-    """tick_method="periodic" names the default strategy: measurements
-    equal the unset config's, only the cache key differs."""
-    from tests.differential.abharness import run_arm
-
-    cfg = small_network(num_nodes=10, num_epochs=120)
-    unset = run_arm(cfg, None)
-    periodic = run_arm(cfg, "periodic")
-    assert unset.fingerprint(include_key=False) == periodic.fingerprint(
-        include_key=False
-    )
-    assert unset.spec.key != periodic.spec.key
+def test_campaign_cannot_sweep_tick_method():
+    with pytest.raises(ValueError, match="cannot sweep 'tick_method'"):
+        CampaignSpec(
+            name="tick-sweep",
+            scenarios=("static-paper",),
+            protocols=("dirq",),
+            sweep=(("tick_method", ("periodic", "columnar")),),
+        )

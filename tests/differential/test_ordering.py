@@ -1,14 +1,14 @@
 """The threshold-crossing fan-out order is part of the contract.
 
-The brute loop visits ``(node, sensor_type)`` pairs in sorted node-id
-order (the runner's alive list) and sorted sensor-type order within a
+The per-node oracle loop visits ``(node, sensor_type)`` pairs in sorted
+node-id order (the runner's alive list) and sorted sensor-type order within a
 node (``SensorNode.sensors_sorted``).  Every update transmission -- and
 therefore every MAC send, energy charge, and RNG draw downstream --
 happens in that order, so the columnar fan-out must reproduce it exactly
 even though its row arrays are laid out type-major for the numpy pass.
 
 These tests spy on ``DirQNode._maybe_send_update`` (the single funnel
-both paths route crossings through) and compare call sequences, using a
+both ticks route crossings through) and compare call sequences, using a
 heterogeneous network whose sensor types *interleave*: consecutive node
 ids mount different, overlapping type subsets, so a type-major walk
 would visibly scramble the sequence.
@@ -23,7 +23,12 @@ from repro.experiments.runner import run_experiment
 from repro.scenarios.static import small_network
 from repro.sensors.types import HUMIDITY, LIGHT, PRESSURE, TEMPERATURE
 
-from tests.differential.abharness import assert_bit_identical
+from tests.differential.abharness import (
+    COLUMNAR,
+    PER_NODE,
+    assert_bit_identical,
+)
+from tests.differential.oracle import per_node_oracle
 
 NUM_NODES = 12
 
@@ -46,11 +51,11 @@ def _config():
     )
 
 
-def _crossing_sequence(monkeypatch, config, tick_only=False):
+def _crossing_sequence(monkeypatch, config, arm, tick_only=False):
     """Run one arm, recording every (epoch, node, sensor_type) call.
 
-    Epoch-tick crossings pass ``table=``/``delta=`` (both the brute loop
-    and the columnar fan-out do); message- and repair-handler calls do
+    Epoch-tick crossings pass ``table=``/``delta=`` (both the per-node
+    loop and the columnar fan-out do); message- and repair-handler calls do
     not.  ``tick_only`` keeps just the former -- the handler calls happen
     at event-delivery times and are *not* subject to the sorted-order
     contract (they are still covered by the full-sequence equality test).
@@ -65,7 +70,11 @@ def _crossing_sequence(monkeypatch, config, tick_only=False):
 
     monkeypatch.setattr(DirQNode, "_maybe_send_update", spy)
     try:
-        run_experiment(config)
+        if arm == PER_NODE:
+            with per_node_oracle():
+                run_experiment(config)
+        else:
+            run_experiment(config)
     finally:
         monkeypatch.undo()
     return calls
@@ -74,18 +83,16 @@ def _crossing_sequence(monkeypatch, config, tick_only=False):
 class TestCrossingOrder:
     def test_columnar_sequence_equals_brute_sequence(self, monkeypatch):
         cfg = _config()
-        brute = _crossing_sequence(monkeypatch, cfg.replace(tick_method=None))
-        columnar = _crossing_sequence(
-            monkeypatch, cfg.replace(tick_method="columnar")
-        )
-        assert brute, "the spy should observe at least one crossing"
-        assert columnar == brute
+        per_node = _crossing_sequence(monkeypatch, cfg, PER_NODE)
+        columnar = _crossing_sequence(monkeypatch, cfg, COLUMNAR)
+        assert per_node, "the spy should observe at least one crossing"
+        assert columnar == per_node
 
     def test_brute_order_is_the_documented_sort(self, monkeypatch):
         """Pin the reference semantics the columnar path must mirror:
         within an epoch, crossings are sorted by (node id, sensor type)."""
         seq = _crossing_sequence(
-            monkeypatch, _config().replace(tick_method=None), tick_only=True
+            monkeypatch, _config(), PER_NODE, tick_only=True
         )
         per_epoch = {}
         for epoch, nid, stype in seq:

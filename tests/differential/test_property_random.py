@@ -2,7 +2,7 @@
 
 Each case draws a configuration from a seeded generator -- network size,
 channel loss, threshold mode and δ, sensor heterogeneity, churn -- and
-asserts the columnar arm is bit-identical to the brute arm.  On failure
+asserts the columnar arm is bit-identical to the per-node oracle.  On failure
 the case shrinks ``num_epochs`` by bisection and prints a paste-able
 minimal reproduction, so a red CI run hands the next session a small
 regression test instead of a random seed.

@@ -1,4 +1,4 @@
-"""Columnar-vs-brute A/B over a representative registry slice.
+"""Columnar-vs-per-node A/B over a representative registry slice.
 
 One granular test per scenario (serial, in-process, per-observable diffs)
 plus a batch-level run through :class:`BatchRunner` at 1 and 4 workers
@@ -14,15 +14,24 @@ import pytest
 from repro.experiments.batch import BatchRunner, TrialSpec
 from repro.scenarios.registry import build_config
 
-from tests.differential.abharness import assert_bit_identical, run_arm
+from tests.differential.abharness import (
+    COLUMNAR,
+    PER_NODE,
+    assert_bit_identical,
+    run_arm,
+)
+from tests.differential.oracle import oracle_batch_workers
 
 #: (scenario, epochs): epochs are scaled to keep each arm in the seconds
-#: range while still crossing several ATC windows / churn cycles; scale-500
-#: runs shorter because the 500-node build dominates.
+#: range while still crossing several ATC windows / churn cycles; the
+#: 500-node scenarios run shorter because their build dominates.
+#: scale-500-mobile re-links every 2 epochs, which pins the columnar
+#: tick's unchanged-alive-list path against the oracle.
 REGISTRY_SLICE = (
     ("static-paper", 300),
     ("harsh-mixed", 300),
     ("scale-500", 60),
+    ("scale-500-mobile", 40),
     ("energy-tiered", 300),
 )
 
@@ -34,54 +43,60 @@ def test_registry_scenario_bit_identical(name, epochs):
 
 
 class TestWorkerInvariance:
-    """The A/B suite must hold at 1 and 4 workers, cache included."""
+    """The A/B suite must hold at 1 and 4 workers, cache included.
+
+    Both arms share one cache key by design (the tick is not part of the
+    config), so each arm gets its own cache directory; the per-node arm
+    runs its trials through the oracle's batch worker entry.
+    """
 
     SCENARIOS = (("static-paper", 200), ("harsh-mixed", 200))
 
     def _specs(self):
-        specs = []
-        for name, epochs in self.SCENARIOS:
-            cfg = build_config(name, num_epochs=epochs)
-            for arm in (None, "columnar"):
-                specs.append(
-                    TrialSpec(
-                        label=f"{name}[{arm or 'brute'}]",
-                        config=cfg.replace(tick_method=arm),
-                    )
-                )
-        return specs
+        return [
+            TrialSpec(label=name, config=build_config(name, num_epochs=epochs))
+            for name, epochs in self.SCENARIOS
+        ]
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_arms_agree_at_any_worker_count(self, workers, tmp_path):
-        runner = BatchRunner(
-            max_workers=workers,
-            executor="process",
-            cache_dir=tmp_path / f"w{workers}",
-        )
-        results = runner.run(self._specs())
-        prints = [r.fingerprint(include_key=False) for r in results]
-        # Results arrive in spec order: (brute, columnar) per scenario.
-        for i in range(0, len(prints), 2):
-            assert prints[i] == prints[i + 1], results[i].label
-
-        # Warm-cache re-run: served entirely from the cache, bit-identical.
+    def _run_twice(self, runner):
+        """A cold run, then a warm re-run that must execute nothing."""
+        first = runner.run(self._specs())
+        prints = [r.fingerprint(include_key=False) for r in first]
         again = runner.run(self._specs())
         assert runner.last_stats.executed == 0
         assert all(r.from_cache for r in again)
         assert [r.fingerprint(include_key=False) for r in again] == prints
+        return prints
 
-    def test_cache_does_not_alias_the_two_arms(self, tmp_path):
-        """The arms must hash to *different* cache keys (tick_method set
-        enters the canonical payload), so an A/B sweep can never serve one
-        arm's cached result to the other."""
-        specs = self._specs()
-        keys = [s.key for s in specs]
-        assert len(set(keys)) == len(keys)
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_arms_agree_at_any_worker_count(self, workers, tmp_path):
+        def runner(arm):
+            return BatchRunner(
+                max_workers=workers,
+                executor="process",
+                cache_dir=tmp_path / f"{arm}-w{workers}",
+            )
+
+        columnar = self._run_twice(runner("columnar"))
+        with oracle_batch_workers():
+            per_node = self._run_twice(runner("per-node"))
+        # Results arrive in spec order in both arms.
+        assert per_node == columnar
+
+    def test_arms_share_one_cache_key(self):
+        """The tick is not part of the config, so both arms of a trial
+        hash to one cache key and to one keyed fingerprint -- which is
+        why the test above gives each arm its own cache directory."""
+        cfg = build_config("static-paper", num_epochs=60)
+        per_node = run_arm(cfg, PER_NODE)
+        columnar = run_arm(cfg, COLUMNAR)
+        assert per_node.spec.key == columnar.spec.key
+        assert per_node.fingerprint() == columnar.fingerprint()
 
 
 def test_repeated_columnar_runs_reproduce():
-    """The fast path is deterministic run-to-run, not just brute-equal."""
+    """The fast path is deterministic run-to-run, not just oracle-equal."""
     cfg = build_config("static-paper", num_epochs=200)
-    first = run_arm(cfg, "columnar").fingerprint(include_key=False)
-    second = run_arm(cfg, "columnar").fingerprint(include_key=False)
+    first = run_arm(cfg, COLUMNAR).fingerprint(include_key=False)
+    second = run_arm(cfg, COLUMNAR).fingerprint(include_key=False)
     assert first == second
